@@ -32,6 +32,9 @@ object GFCore {
     @inline def encU(t: Int, u: Int): Long = (t.toLong << 32) | u.toLong
     @inline def encV(t: Int, v: Int): Long = (t.toLong << 32) | (nU.toLong + v)
 
+    // A neighbour's removal prunes w instead of decrementing when the decrement
+    // would violate τ: a degree decremented to 0 reads as already removed, so
+    // w would never be pushed and s[w] would never drop (τ = 1).
     def pruneU(t: Int, u: Int): Unit = if (dU(t)(u) > 0) { dU(t)(u) = 0; stack.push(encU(t, u)) }
     def pruneV(t: Int, v: Int): Unit = if (dV(t)(v) > 0) { dV(t)(v) = 0; stack.push(encV(t, v)) }
 
@@ -45,7 +48,7 @@ object GFCore {
         val nb = g.gammaU(t)(u); var i = 0
         while (i < nb.length) {
           val v = nb(i)
-          if (dV(t)(v) > 0) { dV(t)(v) -= 1; if (dV(t)(v) < p.tauU) pruneV(t, v) }
+          if (dV(t)(v) > 0) { if (dV(t)(v) - 1 < p.tauU) pruneV(t, v) else dV(t)(v) -= 1 }
           i += 1
         }
         // survival bookkeeping (lines 23-29); u needs s ≥ 1, trivially held
@@ -55,7 +58,7 @@ object GFCore {
         val nb = g.gammaV(t)(v); var i = 0
         while (i < nb.length) {
           val u = nb(i)
-          if (dU(t)(u) > 0) { dU(t)(u) -= 1; if (dU(t)(u) < p.tauV) pruneU(t, u) }
+          if (dU(t)(u) > 0) { if (dU(t)(u) - 1 < p.tauV) pruneU(t, u) else dU(t)(u) -= 1 }
           i += 1
         }
         if (sV(v) > 0) {

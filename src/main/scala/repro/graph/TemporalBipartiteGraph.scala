@@ -4,6 +4,8 @@ import org.apache.spark.sql.{DataFrame, Row}
 
 import scala.collection.mutable
 
+import repro.spark.BipartiteDF
+
 /** Compact in-memory temporal bipartite graph `G = (U, V, E)`.
   *
   * Vertices are relabelled to dense internal ids `0 until nU` / `0 until nV`
@@ -122,9 +124,11 @@ object TemporalBipartiteGraph {
     fromInternal(uLabels.length, vLabels.length, tLabels.length, internal, uLabels, vLabels, tLabels)
   }
 
-  /** Builds a graph from a Spark DataFrame with columns (u: long, v: long, t: long-castable). */
+  /** Builds a graph from a Spark DataFrame with long-castable columns (u, v, t);
+    * a null id fails with [[BipartiteDF.project]]'s error.
+    */
   def fromDF(df: DataFrame): TemporalBipartiteGraph = {
-    val rows = df.selectExpr("cast(u as long) as u", "cast(v as long) as v", "cast(t as long) as t").collect()
+    val rows = BipartiteDF.project(df).collect()
     fromEdges(rows.map { (r: Row) => (r.getLong(0), r.getLong(1), r.getLong(2)) })
   }
 

@@ -9,11 +9,18 @@ import org.apache.spark.sql.functions._
   */
 object BipartiteDF {
 
-  /** Normalizes an edge DataFrame: canonical column names/types, duplicates
-    * dropped (an interaction (u, v, t) is a set element, Def. 2.1).
+  /** The input contract of every ingest path: columns `u`, `v`, `t` cast to
+    * long. A null id fails the query with an error that names its column.
     */
-  def normalize(edges: DataFrame): DataFrame =
-    edges.selectExpr("cast(u as long) as u", "cast(v as long) as v", "cast(t as long) as t").distinct()
+  def project(edges: DataFrame): DataFrame =
+    edges.select(Seq("u", "v", "t").map { c =>
+      coalesce(col(c).cast("long"), raise_error(lit(s"edge table: null value in column $c"))).as(c)
+    }: _*)
+
+  /** Normalizes an edge DataFrame: [[project]], then duplicates dropped (an
+    * interaction (u, v, t) is a set element, Def. 2.1).
+    */
+  def normalize(edges: DataFrame): DataFrame = project(edges).distinct()
 
   /** Static bipartite projection: distinct (u, v). */
   def staticEdges(edges: DataFrame): DataFrame =

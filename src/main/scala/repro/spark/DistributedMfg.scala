@@ -1,5 +1,6 @@
 package repro.spark
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.core.{Enumerators, Params, VFree, Deadline}
@@ -8,7 +9,8 @@ import repro.graph.TemporalBipartiteGraph
 /** Distributed MFG enumeration: the repo's `repro_why` dataflow mapping.
   *
   * Pipeline:
-  *  1. prune the edge table with the Catalyst GFCore ([[GFCoreDF]]);
+  *  1. prune the edge table with the snapshot-partitioned GFCore
+  *     ([[GFCoreDF]]);
   *  2. collect the (heavily pruned) graph, apply the VFree ID reorder, and
   *     broadcast it to the executors;
   *  3. distribute the root-level search branches ("seeds", one per V vertex
@@ -26,22 +28,30 @@ object DistributedMfg {
   /** Runs the pipeline; output DataFrame has one `group: array<long>` column
     * with the MFG's V-side labels in ascending order.
     */
-  def run(spark: SparkSession, edges: DataFrame, p: Params): DataFrame = {
+  def run(spark: SparkSession, edges: DataFrame, p: Params): DataFrame = plan(spark, edges, p)._1
+
+  /** Collects the result as a canonical set of label sets (test helper), then
+    * destroys the graph broadcast.
+    */
+  def runToSets(spark: SparkSession, edges: DataFrame, p: Params): Set[Set[Long]] = {
+    val (groups, bc) = plan(spark, edges, p)
+    try groups.collect().map(_.getSeq[Long](0).toSet).toSet finally bc.destroy()
+  }
+
+  /** The result DataFrame and the graph broadcast it reads. */
+  private def plan(spark: SparkSession, edges: DataFrame, p: Params): (DataFrame, Broadcast[TemporalBipartiteGraph]) = {
     import spark.implicits._
     val pruned = GFCoreDF(edges, p)
     val g = Enumerators.reorderByDegree(TemporalBipartiteGraph.fromDF(pruned))
     val bc = spark.sparkContext.broadcast(g)
     val parallelism = math.max(1, math.min(g.nV, spark.sparkContext.defaultParallelism * 2))
-    spark.range(0, g.nV.toLong)
+    val groups = spark.range(0, g.nV.toLong)
       .repartition(parallelism)
       .mapPartitions { seeds =>
         val engine = new VFree(bc.value, p, Deadline.unlimited)
         seeds.flatMap(seed => engine.runSeed(seed.toInt).iterator.map(_.toArray.sorted))
       }
       .toDF("group")
+    (groups, bc)
   }
-
-  /** Collects the result as a canonical set of label sets (test helper). */
-  def runToSets(spark: SparkSession, edges: DataFrame, p: Params): Set[Set[Long]] =
-    run(spark, edges, p).collect().map(_.getSeq[Long](0).toSet).toSet
 }

@@ -34,6 +34,17 @@ object TestGraphs {
     of(full ++ t2: _*)
   }
 
+  /** A λ cascade over two rounds at (τ_U, τ_V, λ) = (1, 2, 2). v1 lives only
+    * at t=1, so λ removes it. Then u1 keeps one neighbour at t=1 and falls
+    * below τ_V, which leaves v2 in one snapshot (t=2): λ removes it too. Then
+    * u2 falls below τ_V at t=2. The core is {u3, u4} × {v3, v4} × {3, 4}.
+    */
+  def lambdaCascade: TemporalBipartiteGraph = of(
+    (1, 1, 1), (1, 2, 1),
+    (2, 2, 2), (2, 3, 2),
+    (3, 3, 3), (3, 4, 3), (4, 3, 3), (4, 4, 3),
+    (3, 3, 4), (3, 4, 4), (4, 3, 4), (4, 4, 4))
+
   /** A graph with a planted frequent group {10, 11, 12} (labels) supported
     * by different U sides at t = 0, 2, 4, plus noise.
     */

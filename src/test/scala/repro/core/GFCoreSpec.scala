@@ -92,6 +92,13 @@ class GFCoreSpec extends AnyFunSuite {
       assert(GFCore.filterEdges(g, p).toSet == GFCore.filterEdgesFixpoint(g, p).toSet)
   }
 
+  test("Algorithm-2 cascade ≡ reference fixpoint when a v drops to m-degree 0 (τ_U = 1)") {
+    val g = TestGraphs.lambdaCascade
+    val p = Params(1, 2, 2)
+    assert(GFCore.filterEdges(g, p).toSet == GFCore.filterEdgesFixpoint(g, p).toSet)
+    checkDefinition(g, GFCore(g, p), p)
+  }
+
   for (seed <- 0 until 5) {
     test(s"idempotence: GFCore(GFCore(g)) = GFCore(g) (seed $seed)") {
       val g = TestGraphs.random(7, 7, 4, 0.45, seed + 42)

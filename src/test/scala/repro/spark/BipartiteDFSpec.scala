@@ -1,6 +1,8 @@
 package repro.spark
 
 import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.core.Params
+import repro.graph.TemporalBipartiteGraph
 
 /** Oracle-checked DataFrame queries: every query-shaped result is compared
   * against DuckDB running the equivalent SQL over the same edge table.
@@ -15,6 +17,23 @@ class BipartiteDFSpec extends SparkSpec {
   test("normalize drops duplicate temporal edges") {
     val df = BipartiteDF.fromTriples(spark, Seq((1L, 2L, 3L), (1L, 2L, 3L), (1L, 2L, 4L)))
     assert(BipartiteDF.normalize(df).count() == 2)
+  }
+
+  for (c <- Seq("u", "v", "t")) {
+    test(s"a null $c fails the local and the distributed ingest, naming the column") {
+      // {(1, 2, 3), (1, null, 3)}, with the null in column c
+      val row = Seq(1L, 2L, 3L).map(Option(_))
+      val probe = Seq(row, row.updated(Seq("u", "v", "t").indexOf(c), None))
+      val df = spark.createDataFrame(probe.map { case Seq(u, v, t) => (u, v, t) }).toDF("u", "v", "t")
+      val msg = s"null value in column $c"
+      def failure(body: => Any): String = {
+        val e = intercept[Exception](body)
+        Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage).mkString(" | ")
+      }
+      assert(failure(TemporalBipartiteGraph.fromDF(df)).contains(msg))
+      assert(failure(DistributedMfg.runToSets(spark, df, Params(1, 1, 1))).contains(msg))
+      assert(failure(BipartiteDF.normalize(df).count()).contains(msg))
+    }
   }
 
   for (seed <- 0 until 4) {

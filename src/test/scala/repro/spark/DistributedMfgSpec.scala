@@ -1,9 +1,11 @@
 package repro.spark
 
 import repro.{SparkSpec, TestGraphs}
+import repro.bench.Datasets
 import repro.core.{BruteForce, Enumerators, Params}
+import repro.graph.TemporalBipartiteGraph
 
-/** The distributed pipeline (Catalyst GFCore + broadcast graph + seed-
+/** The distributed pipeline (snapshot-partitioned GFCore + broadcast graph + seed-
   * parallel VFree) must return exactly the local result set.
   */
 class DistributedMfgSpec extends SparkSpec {
@@ -35,6 +37,15 @@ class DistributedMfgSpec extends SparkSpec {
     val g = TestGraphs.tiny
     val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
     assert(DistributedMfg.runToSets(spark, e, Params(3, 3, 5)).isEmpty)
+  }
+
+  test("distributed ≡ local VFree on the D4 stand-in (12,698 MFGs)") {
+    val spec = Datasets.byName("D4")
+    val e = spec.edges(spark).cache()
+    val local = Enumerators.vFree(TemporalBipartiteGraph.fromDF(e), spec.defaults).results.get
+    assert(local.size == 12698)
+    assert(DistributedMfg.runToSets(spark, e, spec.defaults) == local)
+    e.unpersist()
   }
 
   test("result DataFrame groups are sorted label arrays") {
