@@ -2,34 +2,19 @@ package repro.core
 
 import repro.graph.{SortedOps, TemporalBipartiteGraph}
 
-import scala.collection.mutable
-
 /** Baseline BK-ALG (Section 3, "Baseline method").
   *
   * Directly extends the Bron-Kerbosch framework: maintain (U_S, V_S, C_V),
   * expand V_S one candidate at a time, check the frequency constraint with
   * the naive per-timestamp intersection, and verify maximality by comparing
-  * a terminal set against the results found so far. Because the DFS visits
-  * increasing-id sequences in lexicographic order, any MFG containing a
-  * terminal non-maximal set has already been recorded, so the subset check
-  * against recorded results is complete (validated against BruteForce).
+  * a terminal set against the results found so far
+  * ([[Engine.recordIfMaximal]]; its completeness rests on the lexicographic
+  * DFS order, and the brute-force oracle in the tests pins it).
   *
   * BK-ALG+ (the variant actually benchmarked in the paper) is BkAlg run on
   * the GFCore-filtered graph — see [[Enumerators.bkAlgPlus]].
   */
-final class BkAlg(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
-  val stats = new EnumStats
-  private val results = mutable.ArrayBuffer.empty[Array[Int]] // each ascending
-
-  private def record(vs: Array[Int]): Unit = {
-    if (!results.exists(r => SortedOps.subsetOf(vs, r))) {
-      // defensively drop previously recorded subsets (cannot occur in
-      // lexicographic order, but keeps the method correct standalone)
-      val keep = results.filterNot(r => SortedOps.subsetOf(r, vs) && r.length < vs.length)
-      results.clear(); results ++= keep
-      results += vs
-    }
-  }
+final class BkAlg(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) extends Engine(g.vLabels) {
 
   // V_S along a branch is ascending (candidates processed in id order)
   private val vsStack = new Array[Int](math.max(1, g.nV))
@@ -56,18 +41,10 @@ final class BkAlg(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
     }
     if (!extended && vsLen >= p.tauV && us.length >= p.tauU) {
       val t0 = System.nanoTime()
-      record(java.util.Arrays.copyOf(vsStack, vsLen))
+      recordIfMaximal(java.util.Arrays.copyOf(vsStack, vsLen))
       stats.cmNanos += System.nanoTime() - t0
     }
   }
 
-  /** Runs the enumeration; returns MFGs in original-label space. */
-  def run(): Set[Set[Long]] = {
-    val t0 = System.nanoTime()
-    stats.inputEdges = g.temporalEdgeCount
-    stats.filteredEdges = g.temporalEdgeCount
-    enum(Array.range(0, g.nU), 0, Array.range(0, g.nV), 0)
-    stats.totalNanos = System.nanoTime() - t0
-    results.iterator.map(_.map(g.vLabels).toSet).toSet
-  }
+  protected def search(): Unit = enum(Array.range(0, g.nU), 0, Array.range(0, g.nV), 0)
 }

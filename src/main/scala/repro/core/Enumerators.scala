@@ -5,85 +5,83 @@ import repro.graph.TemporalBipartiteGraph
 /** Facade wiring the paper's algorithm variants exactly as benchmarked in
   * Section 5: every variant except VFree- gets the GFCore graph filter;
   * VFree gets the ascending-structural-degree ID reorder unless disabled.
+  *
+  * This is the one place that filters, reorders, times a run and fills the
+  * edge counters; the engines only search.
   */
 object Enumerators {
 
   /** Outcome of one enumeration run. `results` is None on time-budget
-    * exhaustion (the paper's INF).
+    * exhaustion (the paper's INF); `stats` then holds the counters reached.
     */
   final case class Outcome(name: String, results: Option[Set[Set[Long]]], stats: EnumStats) {
     def timedOut: Boolean = results.isEmpty
     def count: Int = results.map(_.size).getOrElse(-1)
   }
 
-  /** The named variants of the paper's experimental section. */
-  val algorithmNames: Seq[String] =
-    Seq("BK-ALG+", "FilterV-", "FilterV-FR", "FilterV-VM", "FilterV", "VFree-", "VFree")
+  /** The search a variant runs on the (filtered) graph. */
+  private sealed trait Search
+  private case object Bk extends Search
+  private final case class Fv(useCandFilter: Boolean, useArrayVerify: Boolean) extends Search
+  private case object Vf extends Search
 
-  private def timed(name: String, g: TemporalBipartiteGraph, budgetMs: Long)
-                   (body: Deadline => (Set[Set[Long]], EnumStats)): Outcome = {
-    val deadline = if (budgetMs > 0) Deadline.ms(budgetMs) else Deadline.unlimited
+  private final case class Variant(name: String, graphFilter: Boolean, search: Search)
+
+  /** The named variants of the paper's experimental section. */
+  private val variants: Seq[Variant] = Seq(
+    Variant("BK-ALG+", graphFilter = true, Bk),
+    Variant("FilterV-", graphFilter = true, Fv(useCandFilter = false, useArrayVerify = false)),
+    Variant("FilterV-FR", graphFilter = true, Fv(useCandFilter = false, useArrayVerify = true)),
+    Variant("FilterV-VM", graphFilter = true, Fv(useCandFilter = true, useArrayVerify = false)),
+    Variant("FilterV", graphFilter = true, Fv(useCandFilter = true, useArrayVerify = true)),
+    Variant("VFree-", graphFilter = false, Vf),
+    Variant("VFree", graphFilter = true, Vf),
+  )
+
+  val algorithmNames: Seq[String] = variants.map(_.name)
+
+  private def variant(graphFilter: Boolean, search: Search): Variant =
+    variants.find(v => v.graphFilter == graphFilter && v.search == search).get
+
+  /** Runs `v` on `g`. The budget covers the graph filter, the reorder and the
+    * search; a run that exceeds it keeps the counters it reached.
+    */
+  private def execute(v: Variant, g: TemporalBipartiteGraph, p: Params,
+                      reorder: Boolean, budgetMs: Long): Outcome = {
     System.gc() // reduce cross-run GC interference in benchmarks
+    val deadline = Deadline.ms(budgetMs)
     val t0 = System.nanoTime()
-    try {
-      val (res, stats) = body(deadline)
-      stats.totalNanos = System.nanoTime() - t0 // include graph-filter time
-      stats.inputEdges = g.temporalEdgeCount
-      Outcome(name, Some(res), stats)
-    } catch {
-      case _: TimeBudgetExceeded =>
-        val s = new EnumStats
-        s.totalNanos = System.nanoTime() - t0
-        s.inputEdges = g.temporalEdgeCount
-        Outcome(name, None, s)
+    val fg = if (v.graphFilter) GFCore(g, p) else g
+    val engine = v.search match {
+      case Bk       => new BkAlg(fg, p, deadline)
+      case Fv(c, a) => new FilterV(fg, p, c, a, deadline)
+      case Vf       => new VFree(if (reorder) reorderByDegree(fg) else fg, p, deadline)
     }
+    val results = try Some(engine.run()) catch { case _: TimeBudgetExceeded => None }
+    val stats = engine.stats
+    stats.totalNanos = System.nanoTime() - t0
+    stats.inputEdges = g.temporalEdgeCount
+    stats.filteredEdges = fg.temporalEdgeCount
+    Outcome(v.name, results, stats)
   }
 
   /** BK-ALG+ — the BK baseline on the GFCore-filtered graph. */
   def bkAlgPlus(g: TemporalBipartiteGraph, p: Params, budgetMs: Long = 0): Outcome =
-    timed("BK-ALG+", g, budgetMs) { dl =>
-      val fg = GFCore(g, p)
-      val alg = new BkAlg(fg, p, dl)
-      val res = alg.run()
-      alg.stats.filteredEdges = fg.temporalEdgeCount
-      (res, alg.stats)
-    }
+    execute(variant(graphFilter = true, Bk), g, p, reorder = false, budgetMs)
 
   /** FilterV and its ablations (graph filter always applied, as in §5). */
   def filterV(g: TemporalBipartiteGraph, p: Params,
               useCandFilter: Boolean = true, useArrayVerify: Boolean = true,
-              budgetMs: Long = 0): Outcome = {
-    val name = (useCandFilter, useArrayVerify) match {
-      case (true, true)   => "FilterV"
-      case (false, true)  => "FilterV-FR"
-      case (true, false)  => "FilterV-VM"
-      case (false, false) => "FilterV-"
-    }
-    timed(name, g, budgetMs) { dl =>
-      val fg = GFCore(g, p)
-      val alg = new FilterV(fg, p, useCandFilter, useArrayVerify, dl)
-      val res = alg.run()
-      alg.stats.filteredEdges = fg.temporalEdgeCount
-      (res, alg.stats)
-    }
-  }
+              budgetMs: Long = 0): Outcome =
+    execute(variant(graphFilter = true, Fv(useCandFilter, useArrayVerify)), g, p, reorder = false, budgetMs)
 
   /** VFree (graph filter + ID reorder by default); `useGraphFilter = false`
     * gives the VFree- ablation of Exp-5, `reorder = false` the Exp-7 one.
     */
   def vFree(g: TemporalBipartiteGraph, p: Params,
             useGraphFilter: Boolean = true, reorder: Boolean = true,
-            budgetMs: Long = 0): Outcome = {
-    val name = if (useGraphFilter) "VFree" else "VFree-"
-    timed(name, g, budgetMs) { dl =>
-      val fg = if (useGraphFilter) GFCore(g, p) else g
-      val rg = if (reorder) reorderByDegree(fg) else fg
-      val alg = new VFree(rg, p, dl)
-      val res = alg.run()
-      alg.stats.filteredEdges = fg.temporalEdgeCount
-      (res, alg.stats)
-    }
-  }
+            budgetMs: Long = 0): Outcome =
+    execute(variant(useGraphFilter, Vf), g, p, reorder, budgetMs)
 
   /** Ascending structural-degree relabelling of V (ties by original id). */
   def reorderByDegree(g: TemporalBipartiteGraph): TemporalBipartiteGraph = {
@@ -92,14 +90,9 @@ object Enumerators {
   }
 
   /** Dispatch by paper name (bench harness entry point). */
-  def run(name: String, g: TemporalBipartiteGraph, p: Params, budgetMs: Long = 0): Outcome = name match {
-    case "BK-ALG+"    => bkAlgPlus(g, p, budgetMs)
-    case "FilterV"    => filterV(g, p, useCandFilter = true, useArrayVerify = true, budgetMs)
-    case "FilterV-FR" => filterV(g, p, useCandFilter = false, useArrayVerify = true, budgetMs)
-    case "FilterV-VM" => filterV(g, p, useCandFilter = true, useArrayVerify = false, budgetMs)
-    case "FilterV-"   => filterV(g, p, useCandFilter = false, useArrayVerify = false, budgetMs)
-    case "VFree"      => vFree(g, p, useGraphFilter = true, reorder = true, budgetMs)
-    case "VFree-"     => vFree(g, p, useGraphFilter = false, reorder = true, budgetMs)
-    case other        => throw new IllegalArgumentException(s"unknown algorithm: $other")
-  }
+  def run(name: String, g: TemporalBipartiteGraph, p: Params, budgetMs: Long = 0): Outcome =
+    variants.find(_.name == name) match {
+      case Some(v) => execute(v, g, p, reorder = true, budgetMs)
+      case None    => throw new IllegalArgumentException(s"unknown algorithm: $name")
+    }
 }

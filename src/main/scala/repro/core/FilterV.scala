@@ -29,14 +29,12 @@ import scala.collection.mutable
   */
 final class FilterV(g: TemporalBipartiteGraph, p: Params,
                     useCandFilter: Boolean, useArrayVerify: Boolean,
-                    deadline: Deadline) {
-  val stats = new EnumStats
+                    deadline: Deadline) extends Engine(g.vLabels) {
 
   private val tb = if (useCandFilter) new Frequency.TBits(g, p.tauU) else null
   private val checkFre = new Frequency.CheckFre(g)
   private val vsMember = new Array[Boolean](g.nV)
   private val vsStack = new Array[Int](math.max(1, g.nV)) // ascending branch ids
-  private val results = mutable.ArrayBuffer.empty[Array[Int]] // ascending ids
 
   /** Frequency of V_S ∪ {v}; V_S = vsStack[0, vsLen) (ascending, v larger). */
   private def extensionFrequent(usv: Array[Int], v: Int, vsLen: Int): Boolean = {
@@ -69,12 +67,6 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
     }
     true
   }
-
-  /** Naive maximality for the -VM ablations: subset check against recorded
-    * results (complete under the lexicographic DFS order, see DESIGN.md §6).
-    */
-  private def recordCompared(vs: Array[Int]): Unit =
-    if (!results.exists(r => SortedOps.subsetOf(vs, r))) results += vs
 
   /** One node: V_S = vsStack[0, vsLen), candidates = cv[cvFrom, cv.length). */
   private def enum(us: Array[Int], vsLen: Int, tsBits: Array[Long],
@@ -109,7 +101,7 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
       if (useArrayVerify) {
         if (maximalViaXv(us, vsLen, tsBits, xv)) results += java.util.Arrays.copyOf(vsStack, vsLen)
       } else {
-        recordCompared(java.util.Arrays.copyOf(vsStack, vsLen))
+        recordIfMaximal(java.util.Arrays.copyOf(vsStack, vsLen))
       }
       stats.cmNanos += System.nanoTime() - t1
       return
@@ -131,15 +123,8 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
     xv.remove(mark, xv.length - mark)
   }
 
-  /** Runs the enumeration; returns MFGs in original-label space. */
-  def run(): Set[Set[Long]] = {
-    val t0 = System.nanoTime()
-    stats.inputEdges = g.temporalEdgeCount
-    stats.filteredEdges = g.temporalEdgeCount
+  protected def search(): Unit =
     enum(Array.range(0, g.nU), 0,
          if (useCandFilter) tb.full else null,
          Array.range(0, g.nV), 0, mutable.ArrayBuffer.empty[Int])
-    stats.totalNanos = System.nanoTime() - t0
-    results.iterator.map(_.map(g.vLabels).toSet).toSet
-  }
 }

@@ -40,10 +40,6 @@ object Frequency {
       }
       false
     }
-
-    /** All support timestamps of `vs` (no early exit; used by tests/oracles). */
-    def supportTimestamps(g: TemporalBipartiteGraph, vs: Array[Int], tauU: Int): Array[Int] =
-      Array.range(0, g.nT).filter(t => commonMNeighbors(g, vs, t).length >= tauU)
   }
 
   /** Array-based frequency verification (Algorithm 3).

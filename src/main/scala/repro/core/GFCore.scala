@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{AlphaBetaCore, TemporalBipartiteGraph}
+import repro.graph.TemporalBipartiteGraph
 
 /** The (τ_V, τ_U, λ)-core graph filter (Definition 3.2 / Algorithm 2).
   *
@@ -10,10 +10,9 @@ import repro.graph.{AlphaBetaCore, TemporalBipartiteGraph}
   * that timestamp (or everywhere) and propagates to its neighbours through
   * an explicit work stack.
   *
-  * [[filterEdgesFixpoint]] is an independently-written greatest-fixpoint
-  * formulation (alternate per-snapshot (τ_V, τ_U)-core peeling and
-  * λ-survival filtering until stable) used to cross-validate the cascade —
-  * the fixpoint of Def. 3.2 is unique, so both must agree exactly.
+  * The tests cross-check it against an independently written
+  * greatest-fixpoint reference (`GFCoreFixpoint`, test scope): the fixpoint
+  * of Def. 3.2 is unique, so both must agree exactly.
   */
 object GFCore {
 
@@ -84,39 +83,6 @@ object GFCore {
     drain()
 
     g.internalEdges.filter { case (u, v, tt) => dU(tt)(u) > 0 && dV(tt)(v) > 0 }
-  }
-
-  /** Reference greatest-fixpoint implementation (tests cross-check it
-    * against [[filterEdges]]; see class doc).
-    */
-  def filterEdgesFixpoint(g: TemporalBipartiteGraph, p: Params): Array[(Int, Int, Int)] = {
-    val vAlive = Array.fill(g.nV)(true)
-    val uAllTrue = Array.fill(g.nU)(true)
-    var uIn: Array[Array[Boolean]] = null
-    var vIn: Array[Array[Boolean]] = null
-    var changed = true
-    while (changed) {
-      changed = false
-      uIn = new Array[Array[Boolean]](g.nT)
-      vIn = new Array[Array[Boolean]](g.nT)
-      var t = 0
-      while (t < g.nT) {
-        val (ui, vi) = AlphaBetaCore.snapshot(g, t, p.tauV, p.tauU, uAllTrue, vAlive)
-        uIn(t) = ui; vIn(t) = vi
-        t += 1
-      }
-      var v = 0
-      while (v < g.nV) {
-        if (vAlive(v)) {
-          var s = 0
-          var tt = 0
-          while (tt < g.nT) { if (vIn(tt)(v)) s += 1; tt += 1 }
-          if (s < p.lambda) { vAlive(v) = false; changed = true }
-        }
-        v += 1
-      }
-    }
-    g.internalEdges.filter { case (u, v, t) => uIn(t)(u) && vIn(t)(v) }
   }
 
   /** The (τ_V, τ_U, λ)-core as a compacted graph (original labels kept). */

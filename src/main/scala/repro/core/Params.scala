@@ -29,6 +29,7 @@ final class Deadline(limitMs: Long) extends Serializable {
 object Deadline {
   /** No limit. */
   def unlimited: Deadline = new Deadline(0)
+  /** A limit of `limit` ms from now; `limit <= 0` means no limit. */
   def ms(limit: Long): Deadline = new Deadline(limit)
 }
 
@@ -45,7 +46,6 @@ final class EnumStats extends Serializable {
   var filteredEdges: Long = 0L  // temporal edges surviving the graph filter
   var inputEdges: Long = 0L     // temporal edges before the graph filter
 
-  def cmMs: Double = cmNanos / 1e6
   def totalMs: Double = totalNanos / 1e6
   def cmShare: Double = if (totalNanos == 0) 0.0 else cmNanos.toDouble / totalNanos
   def pruneRatio: Double = if (inputEdges == 0) 0.0 else 1.0 - filteredEdges.toDouble / inputEdges

@@ -31,15 +31,13 @@ import scala.collection.mutable
   * are themselves infrequent or undersized would be reported (DESIGN.md §6);
   * brute-force cross-validation pins this down.
   */
-final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) extends Serializable {
-  val stats = new EnumStats
+final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) extends Engine(g.vLabels) {
 
   private val cntU = Array.ofDim[Int](g.nT, g.nU)
   private val cntVT = new Array[Int](g.nV)
   private val cntT = new Array[Int](g.nV)
   private val inVS = new Array[Boolean](g.nV)
   private val visited = new Array[Boolean](g.nV)
-  private val results = mutable.ArrayBuffer.empty[Array[Int]] // ascending internal ids
 
   private val allTs: Array[Int] = Array.range(0, g.nT)
 
@@ -146,12 +144,9 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
   }
 
   /** Full enumeration (all root seeds in ascending id order). */
-  def run(): Set[Set[Long]] = {
-    val t0 = System.nanoTime()
+  protected def search(): Unit = {
     var v = 0
     while (v < g.nV) { branch(v, Nil, 0, allTs); v += 1 }
-    stats.totalNanos = System.nanoTime() - t0
-    results.iterator.map(_.map(g.vLabels).toSet).toSet
   }
 
   /** Enumerates only the MFGs discovered in root branch `seed` (internal
@@ -163,7 +158,7 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
   def runSeed(seed: Int): Vector[Set[Long]] = {
     val before = results.length
     branch(seed, Nil, 0, allTs)
-    val out = results.view.slice(before, results.length).map(_.map(g.vLabels).toSet).toVector
+    val out = results.view.slice(before, results.length).map(labelled).toVector
     results.remove(before, results.length - before) // keep per-seed memory flat
     out
   }

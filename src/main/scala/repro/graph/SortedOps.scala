@@ -15,17 +15,6 @@ object SortedOps {
     java.util.Arrays.copyOf(out, k)
   }
 
-  /** |a ∩ b| for ascending-sorted arrays. */
-  def intersectSize(a: Array[Int], b: Array[Int]): Int = {
-    var i = 0; var j = 0; var k = 0
-    while (i < a.length && j < b.length) {
-      if (a(i) < b(j)) i += 1
-      else if (a(i) > b(j)) j += 1
-      else { k += 1; i += 1; j += 1 }
-    }
-    k
-  }
-
   /** true iff sorted `a` ⊆ sorted `b`. */
   def subsetOf(a: Array[Int], b: Array[Int]): Boolean = {
     if (a.length > b.length) return false

@@ -16,9 +16,9 @@ import repro.spark.BipartiteDF
   * Two adjacency views are materialised, both needed by the paper's
   * algorithms:
   *
-  *  - static CSR with per-edge timestamp lists (`uAdj`/`uAdjTs`,
-  *    `vAdj`/`vAdjTs`) — drives `N(·,G)` intersections and CheckFRE
-  *    (Algorithm 3) which iterates `T_{(u,v)}` per static edge;
+  *  - static adjacency (`uAdj`, `vAdj`) — drives the `N(·,G)` intersections
+  *    of BK-ALG and FilterV — with per-edge timestamp lists on the U side
+  *    (`uAdjTs`), which CheckFRE (Algorithm 3) iterates as `T_{(u,v)}`;
   *  - per-snapshot adjacency (`gammaU(t)(u)`, `gammaV(t)(v)`) — drives the
   *    m-neighbor scans of GFCore (Algorithm 2) and VFree (Algorithm 4).
   *
@@ -35,8 +35,6 @@ final class TemporalBipartiteGraph private[graph] (
     val uAdjTs: Array[Array[Array[Int]]],
     /** v -> sorted distinct static neighbours in U. */
     val vAdj: Array[Array[Int]],
-    /** v -> per-static-edge sorted timestamp list (parallel to `vAdj`). */
-    val vAdjTs: Array[Array[Array[Int]]],
     /** t -> u -> sorted m-neighbours Γ(u,t) ⊆ V. */
     val gammaU: Array[Array[Array[Int]]],
     /** t -> v -> sorted m-neighbours Γ(v,t) ⊆ U. */
@@ -111,16 +109,18 @@ final class TemporalBipartiteGraph private[graph] (
 
 object TemporalBipartiteGraph {
 
-  /** Builds a graph from labelled temporal edges; duplicates are dropped. */
+  /** Builds a graph from labelled temporal edges; duplicates are dropped
+    * (by [[fromInternal]]).
+    */
   def fromEdges(edges: Iterable[(Long, Long, Long)]): TemporalBipartiteGraph = {
-    val distinct = edges.toArray.distinct
-    val uLabels = distinct.map(_._1).distinct.sorted
-    val vLabels = distinct.map(_._2).distinct.sorted
-    val tLabels = distinct.map(_._3).distinct.sorted
+    val all = edges.toArray
+    val uLabels = all.map(_._1).distinct.sorted
+    val vLabels = all.map(_._2).distinct.sorted
+    val tLabels = all.map(_._3).distinct.sorted
     val uId = uLabels.zipWithIndex.toMap
     val vId = vLabels.zipWithIndex.toMap
     val tId = tLabels.zipWithIndex.toMap
-    val internal = distinct.map { case (u, v, t) => (uId(u), vId(v), tId(t)) }
+    val internal = all.map { case (u, v, t) => (uId(u), vId(v), tId(t)) }
     fromInternal(uLabels.length, vLabels.length, tLabels.length, internal, uLabels, vLabels, tLabels)
   }
 
@@ -144,12 +144,12 @@ object TemporalBipartiteGraph {
     }
     val empty = Array.empty[Int]
 
-    /** Static CSR for one side: edges sorted by (a, b, t); groups runs of a,
-      * within them runs of b, collecting per-edge timestamp lists.
+    /** Static U-side adjacency: edges sorted by (u, v, t); groups runs of u,
+      * within them runs of v, collecting per-edge timestamp lists.
       */
-    def staticCsr(n: Int, sorted: Array[(Int, Int, Int)]): (Array[Array[Int]], Array[Array[Array[Int]]]) = {
-      val adj = Array.fill[Array[Int]](n)(empty)
-      val ts = Array.fill[Array[Array[Int]]](n)(Array.empty)
+    def staticCsr(sorted: Array[(Int, Int, Int)]): (Array[Array[Int]], Array[Array[Array[Int]]]) = {
+      val adj = Array.fill[Array[Int]](nU)(empty)
+      val ts = Array.fill[Array[Array[Int]]](nU)(Array.empty)
       var i = 0
       while (i < sorted.length) {
         val a = sorted(i)._1
@@ -173,9 +173,9 @@ object TemporalBipartiteGraph {
       (adj, ts)
     }
 
-    /** Snapshot adjacency: edges sorted by (t, a, b). */
-    def snapCsr(n: Int, sorted: Array[(Int, Int, Int)]): Array[Array[Array[Int]]] = {
-      val out = Array.fill(nT)(Array.fill[Array[Int]](n)(empty))
+    /** Snapshot U-side adjacency: edges sorted by (t, u, v). */
+    def snapCsr(sorted: Array[(Int, Int, Int)]): Array[Array[Array[Int]]] = {
+      val out = Array.fill(nT)(Array.fill[Array[Int]](nU)(empty))
       var i = 0
       while (i < sorted.length) {
         val (t, a, _) = sorted(i)
@@ -187,13 +187,25 @@ object TemporalBipartiteGraph {
       out
     }
 
-    val byU = dedup.map { case (u, v, t) => (u, v, t) }.sortBy(e => (e._1, e._2, e._3))
-    val byV = dedup.map { case (u, v, t) => (v, u, t) }.sortBy(e => (e._1, e._2, e._3))
-    val (uAdj, uAdjTs) = staticCsr(nU, byU)
-    val (vAdj, vAdjTs) = staticCsr(nV, byV)
-    val byTU = dedup.map { case (u, v, t) => (t, u, v) }.sortBy(e => (e._1, e._2, e._3))
-    val byTV = dedup.map { case (u, v, t) => (t, v, u) }.sortBy(e => (e._1, e._2, e._3))
-    new TemporalBipartiteGraph(nU, nV, nT, uAdj, uAdjTs, vAdj, vAdjTs,
-      snapCsr(nU, byTU), snapCsr(nV, byTV), uLabels, vLabels, tLabels)
+    /** U-side adjacency turned into sorted V-side adjacency (u ascending). */
+    def transpose(adj: Array[Array[Int]]): Array[Array[Int]] = {
+      val deg = new Array[Int](nV)
+      adj.foreach(_.foreach(v => deg(v) += 1))
+      val out = deg.map(d => if (d == 0) empty else new Array[Int](d))
+      java.util.Arrays.fill(deg, 0)
+      var u = 0
+      while (u < adj.length) {
+        val nb = adj(u); var i = 0
+        while (i < nb.length) { val v = nb(i); out(v)(deg(v)) = u; deg(v) += 1; i += 1 }
+        u += 1
+      }
+      out
+    }
+
+    val byU = dedup.sortBy(e => (e._1, e._2, e._3))
+    val (uAdj, uAdjTs) = staticCsr(byU)
+    val gammaU = snapCsr(dedup.map { case (u, v, t) => (t, u, v) }.sortBy(e => (e._1, e._2, e._3)))
+    new TemporalBipartiteGraph(nU, nV, nT, uAdj, uAdjTs, transpose(uAdj),
+      gammaU, gammaU.map(transpose), uLabels, vLabels, tLabels)
   }
 }

@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** DataFrame (Catalyst) computations over a temporal bipartite edge table
@@ -67,11 +67,5 @@ object BipartiteDF {
     val out = (row.getLong(0), row.getLong(1), row.getLong(2), row.getLong(3))
     e.unpersist()
     out
-  }
-
-  /** Edge list from labelled triples (test/bench helper). */
-  def fromTriples(spark: SparkSession, triples: Seq[(Long, Long, Long)]): DataFrame = {
-    import spark.implicits._
-    triples.toDF("u", "v", "t")
   }
 }

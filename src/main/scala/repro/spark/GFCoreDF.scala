@@ -12,7 +12,9 @@ import repro.core.Params
 import repro.graph.{AlphaBetaCore, TemporalBipartiteGraph}
 
 /** The (τ_V, τ_U, λ)-core graph filter (Algorithm 2) over Spark — the
-  * distributed form of [[repro.core.GFCore.filterEdgesFixpoint]].
+  * distributed form of the greatest-fixpoint reference that the tests hold
+  * (`repro.core.GFCoreFixpoint`, test scope); the tests check it against
+  * the local cascade [[repro.core.GFCore.filterEdges]].
   *
   * The per-snapshot (τ_V, τ_U)-core peels are independent across t and
   * interact only through the λ survival count s[v]. So the edge table is

@@ -1,6 +1,6 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -14,6 +14,12 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** Edge table `(u, v, t)` from labelled triples. */
+  def fromTriples(triples: Seq[(Long, Long, Long)]): DataFrame = {
+    import spark.implicits._
+    triples.toDF("u", "v", "t")
+  }
 
   override def afterAll(): Unit = { super.afterAll() }
 }

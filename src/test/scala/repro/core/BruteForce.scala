@@ -66,6 +66,12 @@ object BruteForce {
   def mfgLabels(g: TemporalBipartiteGraph, p: Params): Set[Set[Long]] =
     mfgs(g, p).map(_.map(g.vLabels).toSet)
 
+  /** All support timestamps of `vs` (internal ids), by NaiveFreq's
+    * per-timestamp intersection without its early exit.
+    */
+  def supportTimestamps(g: TemporalBipartiteGraph, vs: Array[Int], tauU: Int): Array[Int] =
+    Array.range(0, g.nT).filter(t => Frequency.NaiveFreq.commonMNeighbors(g, vs, t).length >= tauU)
+
   /** Frequency of a given labelled vertex set (test helper). */
   def frequencyOf(g: TemporalBipartiteGraph, labels: Set[Long], tauU: Int): Int = {
     val byLabel = g.vLabels.zipWithIndex.toMap

@@ -102,6 +102,35 @@ class EnumeratorsSpec extends AnyFunSuite {
     assert(out.timedOut || out.results.get == BruteForce.mfgLabels(g, Params(1, 1, 1)))
   }
 
+  test("a run that exceeds its budget keeps its edge and search counters") {
+    // ~0.8M search nodes without a budget, far more than the 1,024 between
+    // two clock reads of the deadline
+    val g = TestGraphs.random(12, 20, 6, 0.7, 1)
+    val p = Params(1, 1, 1)
+    val kept = GFCore.filterEdges(g, p).length
+    for (name <- variants) {
+      val out = Enumerators.run(name, g, p, budgetMs = 1)
+      assert(out.timedOut, name)
+      assert(out.stats.inputEdges == g.temporalEdgeCount, name)
+      assert(out.stats.filteredEdges == (if (name == "VFree-") g.temporalEdgeCount else kept), name)
+      assert(out.stats.pruneRatio < 1.0, name)
+      assert(out.stats.nodes > 0 && out.stats.totalNanos > 0, name)
+    }
+  }
+
+  for (g <- Seq(TestGraphs.planted, TestGraphs.random(8, 8, 5, 0.5, 77))) {
+    test(s"every variant counts input and filtered edges (|E| = ${g.temporalEdgeCount})") {
+      val p = Params(2, 2, 3)
+      val kept = GFCore.filterEdges(g, p).length
+      assert(kept < g.temporalEdgeCount)
+      for (name <- variants) {
+        val s = Enumerators.run(name, g, p).stats
+        assert(s.inputEdges == g.temporalEdgeCount, name)
+        assert(s.filteredEdges == (if (name == "VFree-") s.inputEdges else kept), name)
+      }
+    }
+  }
+
   test("stats are populated: nodes, total time, edges") {
     val g = TestGraphs.planted
     val out = Enumerators.filterV(g, Params(2, 2, 3))

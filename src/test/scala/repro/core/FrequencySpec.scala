@@ -8,13 +8,13 @@ import repro.graph.SortedOps
 class FrequencySpec extends AnyFunSuite {
 
   private def naiveFrequency(g: repro.graph.TemporalBipartiteGraph, vs: Array[Int], tauU: Int): Int =
-    Frequency.NaiveFreq.supportTimestamps(g, vs, tauU).length
+    BruteForce.supportTimestamps(g, vs, tauU).length
 
   test("NaiveFreq: tiny graph support timestamps") {
     val g = TestGraphs.tiny
     // {v0,v1,v2}: t0,t1 complete; t2 only v0,v1 present
-    assert(Frequency.NaiveFreq.supportTimestamps(g, Array(0, 1, 2), 2).toSeq == Seq(0, 1))
-    assert(Frequency.NaiveFreq.supportTimestamps(g, Array(0, 1), 2).toSeq == Seq(0, 1, 2))
+    assert(BruteForce.supportTimestamps(g, Array(0, 1, 2), 2).toSeq == Seq(0, 1))
+    assert(BruteForce.supportTimestamps(g, Array(0, 1), 2).toSeq == Seq(0, 1, 2))
   }
 
   test("NaiveFreq: isFrequent early-exit agrees with full count") {

@@ -83,19 +83,19 @@ class GFCoreSpec extends AnyFunSuite {
   } {
     test(s"Algorithm-2 cascade ≡ reference fixpoint (seed $seed, $p)") {
       val g = TestGraphs.random(7, 7, 5, 0.45, seed + 7000)
-      assert(GFCore.filterEdges(g, p).toSet == GFCore.filterEdgesFixpoint(g, p).toSet)
+      assert(GFCore.filterEdges(g, p).toSet == GFCoreFixpoint.filterEdges(g, p).toSet)
     }
   }
 
   test("Algorithm-2 cascade ≡ reference fixpoint on planted and tiny graphs") {
     for (g <- Seq(TestGraphs.planted, TestGraphs.tiny); p <- Seq(Params(2, 2, 2), Params(2, 2, 3)))
-      assert(GFCore.filterEdges(g, p).toSet == GFCore.filterEdgesFixpoint(g, p).toSet)
+      assert(GFCore.filterEdges(g, p).toSet == GFCoreFixpoint.filterEdges(g, p).toSet)
   }
 
   test("Algorithm-2 cascade ≡ reference fixpoint when a v drops to m-degree 0 (τ_U = 1)") {
     val g = TestGraphs.lambdaCascade
     val p = Params(1, 2, 2)
-    assert(GFCore.filterEdges(g, p).toSet == GFCore.filterEdgesFixpoint(g, p).toSet)
+    assert(GFCore.filterEdges(g, p).toSet == GFCoreFixpoint.filterEdges(g, p).toSet)
     checkDefinition(g, GFCore(g, p), p)
   }
 

@@ -39,7 +39,6 @@ class SortedOpsSpec extends AnyFunSuite {
       val a = Array.fill(rng.nextInt(30))(rng.nextInt(40)).distinct.sorted
       val b = Array.fill(rng.nextInt(30))(rng.nextInt(40)).distinct.sorted
       assert(SortedOps.intersect(a, b).toSet == a.toSet.intersect(b.toSet))
-      assert(SortedOps.intersectSize(a, b) == a.toSet.intersect(b.toSet).size)
       assert(SortedOps.subsetOf(a, b) == a.toSet.subsetOf(b.toSet))
     }
   }

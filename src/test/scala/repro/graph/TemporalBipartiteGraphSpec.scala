@@ -87,19 +87,18 @@ class TemporalBipartiteGraphSpec extends AnyFunSuite {
     test(s"random graph invariants (seed $seed)") {
       val g = TestGraphs.random(5, 6, 4, 0.3, seed)
       // adjacency symmetry between the two CSR views
-      for (u <- 0 until g.nU; (v, i) <- g.uAdj(u).zipWithIndex) {
-        val j = g.vAdj(v).indexOf(u)
-        assert(j >= 0, s"v $v missing back-edge to u $u")
-        assert(g.uAdjTs(u)(i).toSeq == g.vAdjTs(v)(j).toSeq)
-      }
+      for (u <- 0 until g.nU; v <- g.uAdj(u))
+        assert(g.vAdj(v).contains(u), s"v $v missing back-edge to u $u")
       // snapshot adjacency consistent with timestamp lists
       for (u <- 0 until g.nU; (v, i) <- g.uAdj(u).zipWithIndex; t <- g.uAdjTs(u)(i)) {
         assert(g.gammaU(t)(u).contains(v))
         assert(g.gammaV(t)(v).contains(u))
       }
-      // sorted adjacency
-      for (t <- 0 until g.nT; u <- 0 until g.nU)
-        assert(g.gammaU(t)(u).toSeq == g.gammaU(t)(u).toSeq.sorted)
+      // sorted adjacency, on both sides; the V side has no extra entries
+      for (a <- g.vAdj ++ g.gammaU.flatten ++ g.gammaV.flatten)
+        assert(a.toSeq == a.toSeq.sorted)
+      assert(g.vAdj.map(_.length).sum == g.staticEdgeCount)
+      assert(g.gammaV.flatten.map(_.length).sum == g.temporalEdgeCount)
     }
   }
 }

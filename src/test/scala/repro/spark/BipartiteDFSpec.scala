@@ -11,11 +11,11 @@ class BipartiteDFSpec extends SparkSpec {
 
   private def edgesDf(seed: Long) = {
     val g = TestGraphs.random(8, 8, 5, 0.4, seed)
-    BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    fromTriples(g.labeledEdges.toSeq)
   }
 
   test("normalize drops duplicate temporal edges") {
-    val df = BipartiteDF.fromTriples(spark, Seq((1L, 2L, 3L), (1L, 2L, 3L), (1L, 2L, 4L)))
+    val df = fromTriples(Seq((1L, 2L, 3L), (1L, 2L, 3L), (1L, 2L, 4L)))
     assert(BipartiteDF.normalize(df).count() == 2)
   }
 
@@ -87,7 +87,7 @@ class BipartiteDFSpec extends SparkSpec {
   } {
     test(s"supportTimestamps (Def. 2.4) vs DuckDB (seed $seed, tauU=$tauU)") {
       val g = TestGraphs.random(8, 8, 5, 0.45, seed + 40)
-      val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+      val e = fromTriples(g.labeledEdges.toSeq)
       val rng = new scala.util.Random(seed)
       val vs = rng.shuffle(g.vLabels.toList).take(2).sorted
       val inList = vs.map(v => s"'$v'").mkString(", ")
@@ -106,19 +106,18 @@ class BipartiteDFSpec extends SparkSpec {
   for (seed <- 0 until 3) {
     test(s"supportTimestamps agrees with the in-memory NaiveFreq (seed $seed)") {
       val g = TestGraphs.random(7, 7, 5, 0.5, seed + 60)
-      val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+      val e = fromTriples(g.labeledEdges.toSeq)
       val vs = Seq(g.vLabels(0), g.vLabels(1))
       val vsIdx = Array(0, 1)
       val fromDf = BipartiteDF.supportTimestamps(e, vs, 2).collect().map(_.getLong(0)).toSet
-      val fromLocal = repro.core.Frequency.NaiveFreq.supportTimestamps(g, vsIdx, 2)
+      val fromLocal = repro.core.BruteForce.supportTimestamps(g, vsIdx, 2)
         .map(t => g.tLabels(t)).toSet
       assert(fromDf == fromLocal)
     }
   }
 
   test("stats counts distinct vertices, edges and timestamps") {
-    val df = BipartiteDF.fromTriples(spark,
-      Seq((1L, 10L, 0L), (1L, 11L, 0L), (2L, 10L, 1L), (2L, 10L, 1L)))
+    val df = fromTriples(Seq((1L, 10L, 0L), (1L, 11L, 0L), (2L, 10L, 1L), (2L, 10L, 1L)))
     assert(BipartiteDF.stats(df) == ((2L, 2L, 3L, 2L)))
   }
 }

@@ -12,14 +12,14 @@ class DistributedMfgSpec extends SparkSpec {
 
   test("distributed ≡ brute force on the planted graph") {
     val g = TestGraphs.planted
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = fromTriples(g.labeledEdges.toSeq)
     val p = Params(2, 2, 3)
     assert(DistributedMfg.runToSets(spark, e, p) == Set(Set(10L, 11L, 12L)))
   }
 
   test("distributed ≡ local VFree on a random graph (seed 21)") {
     val g = TestGraphs.random(8, 9, 5, 0.45, 21)
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = fromTriples(g.labeledEdges.toSeq)
     val p = Params(2, 2, 2)
     val local = Enumerators.vFree(g, p).results.get
     assert(DistributedMfg.runToSets(spark, e, p) == local)
@@ -28,14 +28,14 @@ class DistributedMfgSpec extends SparkSpec {
 
   test("distributed ≡ local VFree with overlapping MFGs (seed 22)") {
     val g = TestGraphs.random(9, 9, 4, 0.55, 22)
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = fromTriples(g.labeledEdges.toSeq)
     val p = Params(2, 1, 2)
     assert(DistributedMfg.runToSets(spark, e, p) == Enumerators.vFree(g, p).results.get)
   }
 
   test("distributed handles a fully-pruned graph (empty result)") {
     val g = TestGraphs.tiny
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = fromTriples(g.labeledEdges.toSeq)
     assert(DistributedMfg.runToSets(spark, e, Params(3, 3, 5)).isEmpty)
   }
 
@@ -50,7 +50,7 @@ class DistributedMfgSpec extends SparkSpec {
 
   test("result DataFrame groups are sorted label arrays") {
     val g = TestGraphs.planted
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = fromTriples(g.labeledEdges.toSeq)
     val rows = DistributedMfg.run(spark, e, Params(2, 2, 3)).collect()
     for (r <- rows) {
       val arr = r.getSeq[Long](0)

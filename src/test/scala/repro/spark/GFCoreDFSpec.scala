@@ -15,7 +15,7 @@ class GFCoreDFSpec extends SparkSpec {
 
   /** Asserts GFCoreDF ≡ local GFCore on `g`; returns the kept labelled edges. */
   private def check(g: TemporalBipartiteGraph, p: Params): Set[(Long, Long, Long)] = {
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = fromTriples(g.labeledEdges.toSeq)
     val dfEdges = GFCoreDF(e, p).collect()
       .map(r => (r.getLong(0), r.getLong(1), r.getLong(2))).toSet
     val localEdges = GFCore.filterEdges(g, p)
@@ -63,7 +63,7 @@ class GFCoreDFSpec extends SparkSpec {
 
   test("GFCoreDF keeps a planted group and drops noise") {
     val g = TestGraphs.planted
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = fromTriples(g.labeledEdges.toSeq)
     val kept = GFCoreDF(e, Params(2, 2, 3)).collect()
     assert(kept.nonEmpty)
     assert(kept.map(_.getLong(1)).toSet == Set(10L, 11L, 12L))
@@ -71,7 +71,7 @@ class GFCoreDFSpec extends SparkSpec {
 
   test("GFCoreDF fully prunes an infrequent graph") {
     val g = TestGraphs.tiny
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = fromTriples(g.labeledEdges.toSeq)
     assert(GFCoreDF(e, Params(2, 2, 5)).count() == 0)
   }
 
@@ -79,7 +79,7 @@ class GFCoreDFSpec extends SparkSpec {
     val sc = spark.sparkContext
     // getPersistentRDDs holds weak references; stored blocks outlive them.
     def storedRdds = SparkEnv.get.blockManager.getMatchingBlockIds(_.isRDD).flatMap(_.asRDDId).map(_.rddId).toSet
-    val e = BipartiteDF.fromTriples(spark, TestGraphs.random(7, 7, 4, 0.45, 1).labeledEdges.toSeq)
+    val e = fromTriples(TestGraphs.random(7, 7, 4, 0.45, 1).labeledEdges.toSeq)
     val results = (1 to 3).map { _ =>
       val (persisted, stored) = (sc.getPersistentRDDs.size, storedRdds.size)
       val kept = GFCoreDF(e, Params(2, 2, 2))
